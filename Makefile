@@ -1,6 +1,6 @@
 GO ?= go
 BENCH_DATE := $(shell date +%Y%m%d)
-BENCH_OUT ?= BENCH_$(BENCH_DATE).json
+BENCH_OUT ?= BENCH_$(BENCH_DATE).txt
 
 .PHONY: all build vet test race race-fault race-shard check bench bench-build bench-compare bench-baseline bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
 
@@ -71,8 +71,9 @@ fuzz-smoke:
 	$(GO) test -run=NoSuchTest -fuzz=FuzzRESPDecode -fuzztime=10s ./internal/resp
 
 # bench records a benchstat-comparable baseline: 5 repetitions of every
-# benchmark with allocation stats, captured to BENCH_<date>.json. Compare
-# two baselines with `benchstat old new` (not vendored here).
+# benchmark with allocation stats, captured as plain `go test -bench`
+# text to BENCH_<date>.txt. Compare two baselines with `benchstat old new`
+# (not vendored here) or `go run ./cmd/benchdiff old new`.
 bench:
 	$(GO) test -bench=. -benchmem -count=5 ./... | tee $(BENCH_OUT)
 

@@ -243,11 +243,17 @@ func BenchmarkCXL2Pooling(b *testing.B) {
 // end-to-end cost of the conservative-lookahead kernel including the
 // per-epoch fan-out/merge. Output is byte-identical to a 1-shard run
 // (see internal/kvstore cluster tests); this gates its wall-clock.
-func BenchmarkShardedYCSB(b *testing.B) {
+func BenchmarkShardedYCSB(b *testing.B) { benchClusterYCSB(b, 4) }
+
+// BenchmarkClusterYCSBOneShard is the same cluster run inline on one
+// shard, the reference for what sharding buys (docs/PERFORMANCE.md).
+func BenchmarkClusterYCSBOneShard(b *testing.B) { benchClusterYCSB(b, 1) }
+
+func benchClusterYCSB(b *testing.B, shards int) {
 	for i := 0; i < b.N; i++ {
 		_, err := kvstore.RunCluster(kvstore.ClusterConfig{
 			Nodes:      4,
-			Shards:     4,
+			Shards:     shards,
 			Config:     kvstore.ConfInter11,
 			Deploy:     kvstore.DeployOptions{SimKeys: 1 << 12},
 			Mix:        workload.YCSBB,

@@ -140,7 +140,7 @@ func (cl *clusterRun) forward(rl *runLoop, p pendingOp, now sim.Time) {
 	pp := p
 	cl.se.Send(rl.nodeID, dst, now+sim.Time(cl.hopNs), func(t sim.Time) {
 		drl := cl.nodes[dst]
-		drl.queue = append(drl.queue, pp)
+		drl.push(pp)
 		drl.dispatch(t)
 	})
 }
@@ -177,8 +177,15 @@ func (cl *clusterRun) respondTimeout(rl *runLoop, p pendingOp, now sim.Time) {
 // results, the merged result, and the merged metrics registry — is
 // byte-identical at any Shards setting.
 func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
+	res, _, err := runCluster(cc)
+	return res, err
+}
+
+// runCluster is RunCluster that also returns the nodes' run loops, so
+// tests can inspect their state after the run.
+func runCluster(cc ClusterConfig) (*ClusterResult, []*runLoop, error) {
 	if err := cc.fill(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	se := sim.NewSharded(cc.Nodes, cc.Shards, sim.Time(cc.HopNs))
 	cl := &clusterRun{
@@ -194,7 +201,7 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 	for i := 0; i < cc.Nodes; i++ {
 		d, err := Deploy(cc.Config, cc.Deploy)
 		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, err)
+			return nil, nil, fmt.Errorf("node %d: %w", i, err)
 		}
 		seed := cc.Seed + 7919*int64(i)
 		if cc.WarmEpochs > 0 && cc.WarmDraws > 0 {
@@ -202,7 +209,7 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 		}
 		rc, err := d.RunConfigWithFaults(cc.Mix, seed, cc.FaultSchedule)
 		if err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, err)
+			return nil, nil, fmt.Errorf("node %d: %w", i, err)
 		}
 		rc.Ops = cc.OpsPerNode
 		rc.ClientThreads = cc.ClientThreads
@@ -269,5 +276,5 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 		merged.HitRate = float64(hits) / float64(hits+misses)
 	}
 	res.Merged = merged
-	return res, nil
+	return res, cl.nodes, nil
 }

@@ -301,3 +301,26 @@ func TestRunConfigValidation(t *testing.T) {
 	rc := RunConfig{Mix: workload.YCSBC, Ops: -1}
 	rc.fill()
 }
+
+// BenchmarkEpochFlows times one co-simulation epoch of a deployed 512 GB
+// store (the 1:1 interleave of Fig. 5): a 10 ms epoch's worth of mixed
+// read/write traffic charged to every node holding the heap, then
+// EpochFlows — the open-flow solve and the refresh of every resident
+// node's loaded latency.
+func BenchmarkEpochFlows(b *testing.B) {
+	d, err := Deploy(ConfInter11, DeployOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const epochNs = 10e6
+	var nodes []*topology.Node
+	d.Store.Space().EachNode(func(n *topology.Node, _ int) { nodes = append(nodes, n) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, n := range nodes {
+			d.Store.AddMigrationTraffic(n, n, 64<<20)
+		}
+		d.Store.EpochFlows(epochNs)
+	}
+}

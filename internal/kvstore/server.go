@@ -145,12 +145,19 @@ func (r Result) P99Ms() float64 { return r.Latency.Percentile(99) / 1e6 }
 // ServerThreads workers whose service times come from the store's cost
 // model under the current epoch's loaded memory latencies.
 func Run(store *Store, alloc *vmm.Allocator, rc RunConfig) Result {
+	res, _ := run(store, alloc, rc)
+	return res
+}
+
+// run is Run that also returns the run loop, so tests can inspect its
+// state after the run.
+func run(store *Store, alloc *vmm.Allocator, rc RunConfig) (Result, *runLoop) {
 	rc.fill()
 	eng := sim.NewEngine()
 	sr := startRun(eng, store, alloc, &rc, nil, 0)
 	for sr.rl.completed < sr.rl.totalOps && eng.Step() {
 	}
-	return sr.finish(eng.Now())
+	return sr.finish(eng.Now()), sr.rl
 }
 
 // startedRun is one node's in-flight run: Run drives it on a plain
@@ -326,7 +333,7 @@ func startRun(eng *sim.Engine, store *Store, alloc *vmm.Allocator, rc *RunConfig
 		if cl != nil {
 			p.dest = cl.pickDest(rl)
 		}
-		rl.queue = append(rl.queue, p)
+		rl.push(p)
 	}
 	rl.inflightOps = rc.ClientThreads
 	rl.dispatch(0)
@@ -374,8 +381,10 @@ type pendingOp struct {
 // implements sim.Handler so op completions are scheduled through the
 // engine's allocation-free handler path: the uint64 event argument names
 // an in-flight slot (one per server thread) instead of a captured
-// closure, and the dispatch queue is drained with a head index so
-// steady-state operation recycles one backing array.
+// closure. The dispatch queue is a FIFO drained with a head index whose
+// consumed prefix is compacted away (advanceHead), so its backing array
+// stays within a small multiple of the ops in flight — at most every
+// client of every node — however long the run.
 type runLoop struct {
 	eng         *sim.Engine
 	store       *Store
@@ -483,7 +492,7 @@ func (rl *runLoop) generate(now sim.Time) {
 		if rl.cl != nil {
 			p.dest = rl.cl.pickDest(rl)
 		}
-		rl.queue = append(rl.queue, p)
+		rl.push(p)
 		rl.inflightOps++
 	}
 }
@@ -516,12 +525,21 @@ func (rl *runLoop) dispatch(now sim.Time) {
 	}
 }
 
-// advanceHead consumes the queue head, rewinding the backing array once
-// drained so steady-state operation reuses it.
+// push appends p to the dispatch FIFO; every producer goes through it.
+func (rl *runLoop) push(p pendingOp) {
+	rl.queue = append(rl.queue, p)
+}
+
+// advanceHead consumes the queue head. Once the consumed prefix is at
+// least half the slice, the live tail is shifted down to the front: the
+// copy moves no more ops than were consumed since the last shift, so it
+// is amortized O(1) per op, and the slice never holds more than twice
+// the live ops. A full drain is the zero-copy case.
 func (rl *runLoop) advanceHead() {
 	rl.head++
-	if rl.head == len(rl.queue) {
-		rl.queue = rl.queue[:0]
+	if 2*rl.head >= len(rl.queue) {
+		n := copy(rl.queue, rl.queue[rl.head:])
+		rl.queue = rl.queue[:n]
 		rl.head = 0
 	}
 }
@@ -564,7 +582,7 @@ func (rl *runLoop) clientTimeout(p pendingOp, now sim.Time, slot uint64, svc flo
 }
 
 func (rl *runLoop) requeue(p pendingOp, now sim.Time) {
-	rl.queue = append(rl.queue, p)
+	rl.push(p)
 	rl.dispatch(now)
 }
 

@@ -89,9 +89,9 @@ type Store struct {
 	cacheCap  int // max resident keys (maxmemory)
 
 	// Per-epoch traffic accumulators and the loaded-latency cache, all
-	// indexed by node ID (the vmm.accumulateShares idiom): the epoch loop
-	// touches them once per op, so a slice index instead of a pointer-map
-	// probe removes both the hash cost and the per-epoch map churn.
+	// indexed by node ID: the epoch loop touches them once per op, so a
+	// slice index instead of a pointer-map probe removes both the hash
+	// cost and the per-epoch map churn.
 	// epochNodes lists the distinct nodes charged this epoch in
 	// first-touch order — a deterministic replacement for ranging over
 	// map keys when the flows are built.
@@ -103,13 +103,10 @@ type Store struct {
 	ssdReadBytes   float64
 	ssdWriteBytes  float64
 
-	// Loaded latencies for the current epoch (ns), by node ID, plus
-	// scratch for collecting the space's distinct resident nodes.
-	nodeLatency   []float64
-	residentSeen  []bool
-	residentNodes []*topology.Node
-	flowScratch   []memsim.OpenFlow
-	ssdLatency    float64
+	// Loaded latencies for the current epoch (ns), by node ID.
+	nodeLatency []float64
+	flowScratch []memsim.OpenFlow
+	ssdLatency  float64
 
 	// Most recent epoch-solve utilization, by resource name, plus each
 	// resource's best-case peak (GB/s) for bandwidth estimation.
@@ -303,7 +300,6 @@ func (s *Store) growNode(id int) {
 		s.nodeWriteBytes = append(s.nodeWriteBytes, 0)
 		s.nodeTouched = append(s.nodeTouched, false)
 		s.nodeLatency = append(s.nodeLatency, 0)
-		s.residentSeen = append(s.residentSeen, false)
 		s.paths = append(s.paths, nil)
 	}
 }
@@ -518,25 +514,16 @@ func (s *Store) refreshLatencies(flows []memsim.OpenFlow) {
 		s.lastUtil[r.Name] = u
 		s.lastPeak[r.Name] = r.Peak.Max()
 	}
-	nodes := s.residentNodes[:0]
-	for i := range s.space.Pages {
-		n := s.space.Pages[i].Node
-		s.growNode(n.ID)
-		if !s.residentSeen[n.ID] {
-			s.residentSeen[n.ID] = true
-			nodes = append(nodes, n)
-		}
-	}
-	for _, n := range nodes {
+	// The space's per-node page counts name the resident nodes in
+	// O(nodes); pathTo grows the node-ID-indexed slices.
+	s.space.EachNode(func(n *topology.Node, _ int) {
 		p := s.pathTo(n)
 		lat := 0.0
 		for _, r := range p.Resources {
 			lat += r.LatencyForUtil(util[r], memsim.ReadOnly)
 		}
 		s.nodeLatency[n.ID] = lat
-		s.residentSeen[n.ID] = false
-	}
-	s.residentNodes = nodes[:0]
+	})
 	s.ssdLatency = 0
 	for _, r := range s.ssd.Resources {
 		s.ssdLatency += r.LatencyForUtil(util[r], memsim.ReadOnly)

@@ -11,6 +11,7 @@ package vmm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cxlsim/internal/sim"
 	"cxlsim/internal/topology"
@@ -30,17 +31,26 @@ var ErrNoCapacity = errors.New("vmm: no capacity on target nodes")
 // full-array sweep was the dominant tiering-epoch cost at production
 // working-set sizes.
 type Page struct {
-	Node       *topology.Node
-	LastAccess sim.Time // time of most recent touch
+	Node       *topology.Node // only Allocator.Migrate moves a page (see Space)
+	LastAccess sim.Time       // time of most recent touch
 
 	heat      float64 // decayed access counter, valid as of decayedAt
 	decayedAt uint64  // decay epochs applied to heat so far
 }
 
 // Space is one application address space: a flat array of pages.
+//
+// Allocator.Alloc, Allocator.Migrate and Allocator.FreeSpace are the only
+// code that changes len(Pages) or a page's Node, and they keep the
+// space's per-node page counts equal to a full scan of Pages. Readers
+// that need the set of nodes a space lives on (EachNode, NodeShare) use
+// those counts in O(nodes) instead of scanning every page.
 type Space struct {
 	PageSize uint64
 	Pages    []Page
+
+	// resident holds the page count per node, indexed by node ID.
+	resident []residency
 
 	// heatEpoch counts DecayHeat calls; decayFactor is the factor shared
 	// by all epochs a page may still have pending (DecayHeat materializes
@@ -49,14 +59,37 @@ type Space struct {
 	heatEpoch   uint64
 	decayFactor float64
 
-	// shareScratch/shareSeen accumulate per-node mass (indexed by node
-	// ID) inside NodeShare/HeatShare, replacing a map operation per page
-	// with a slice index. Reused across calls; epoch loops call these
-	// every tick, so the scratch removes their dominant allocation
-	// churn. Not safe for concurrent calls on the same Space (a Space is
-	// owned by one simulated application).
-	shareScratch []float64
-	shareSeen    []bool
+	// heatScratch accumulates heat mass per node (indexed by node ID)
+	// inside HeatShare, replacing a map operation per page with a slice
+	// index. Reused across calls; not safe for concurrent calls on the
+	// same Space (a Space is owned by one simulated application).
+	heatScratch []float64
+}
+
+// residency is one node's share of a space's pages.
+type residency struct {
+	node  *topology.Node
+	pages int
+}
+
+// addPages adjusts n's page count by k.
+func (s *Space) addPages(n *topology.Node, k int) {
+	if n.ID >= len(s.resident) {
+		s.resident = slices.Grow(s.resident, n.ID+1-len(s.resident))[:n.ID+1]
+	}
+	r := &s.resident[n.ID]
+	r.node = n
+	r.pages += k
+}
+
+// EachNode calls fn for every node holding pages of the space, in node-ID
+// order, with its page count. It costs O(nodes), not O(pages).
+func (s *Space) EachNode(fn func(n *topology.Node, pages int)) {
+	for _, r := range s.resident {
+		if r.pages > 0 {
+			fn(r.node, r.pages)
+		}
+	}
 }
 
 // NewSpace returns an empty space with the given page size (0 ⇒ default).
@@ -148,84 +181,56 @@ func (s *Space) FlushHeat() {
 	}
 }
 
-// accumulateShares sums mass per node over the reused scratch slices and
-// returns the distinct nodes in first-encountered page order. Callers
-// read s.shareScratch[n.ID] for each returned node and must finish with
-// resetShares(nodes) so the scratch is clean for the next call.
-func (s *Space) accumulateShares(mass func(p *Page) float64) (nodes []*topology.Node) {
-	for i := range s.Pages {
-		n := s.Pages[i].Node
-		for n.ID >= len(s.shareScratch) {
-			s.shareScratch = append(s.shareScratch, 0)
-			s.shareSeen = append(s.shareSeen, false)
-		}
-		if !s.shareSeen[n.ID] {
-			s.shareSeen[n.ID] = true
-			nodes = append(nodes, n)
-		}
-		s.shareScratch[n.ID] += mass(&s.Pages[i])
-	}
-	return nodes
-}
-
-func (s *Space) resetShares(nodes []*topology.Node) {
-	for _, n := range nodes {
-		s.shareScratch[n.ID] = 0
-		s.shareSeen[n.ID] = false
-	}
-}
-
 // NodeShare reports the fraction of pages on each node (capacity split).
 // The returned map is freshly allocated (callers may hold it across
-// epochs); the per-page accumulation runs over a reused scratch slice.
+// epochs); it is built from the per-node page counts in O(nodes).
 func (s *Space) NodeShare() map[*topology.Node]float64 {
 	out := map[*topology.Node]float64{}
 	if len(s.Pages) == 0 {
 		return out
 	}
-	nodes := s.accumulateShares(func(*Page) float64 { return 1 })
 	inv := 1 / float64(len(s.Pages))
-	for _, n := range nodes {
-		out[n] = s.shareScratch[n.ID] * inv
-	}
-	s.resetShares(nodes)
+	s.EachNode(func(n *topology.Node, pages int) {
+		out[n] = float64(pages) * inv
+	})
 	return out
 }
 
 // HeatShare reports the fraction of recent accesses (by heat mass)
 // served from each node — the access split that determines the app's
 // effective memory placement. Like NodeShare, the returned map is fresh
-// but the accumulation reuses the space's scratch.
+// but the per-page accumulation reuses the space's scratch.
 func (s *Space) HeatShare() map[*topology.Node]float64 {
-	nodes := s.accumulateShares(func(p *Page) float64 {
+	if len(s.heatScratch) < len(s.resident) {
+		s.heatScratch = make([]float64, len(s.resident))
+	}
+	mass := s.heatScratch[:len(s.resident)]
+	for i := range s.Pages {
+		p := &s.Pages[i]
 		s.syncHeat(p)
-		return p.heat
-	})
+		mass[p.Node.ID] += p.heat
+	}
 	total := 0.0
-	for _, n := range nodes {
-		total += s.shareScratch[n.ID]
-	}
+	s.EachNode(func(n *topology.Node, _ int) { total += mass[n.ID] })
+	var out map[*topology.Node]float64
 	if total == 0 {
-		s.resetShares(nodes)
-		return s.NodeShare()
+		out = s.NodeShare()
+	} else {
+		out = make(map[*topology.Node]float64, len(s.resident))
+		s.EachNode(func(n *topology.Node, _ int) { out[n] = mass[n.ID] / total })
 	}
-	out := make(map[*topology.Node]float64, len(nodes))
-	for _, n := range nodes {
-		out[n] = s.shareScratch[n.ID] / total
-	}
-	s.resetShares(nodes)
+	clear(mass)
 	return out
 }
 
 // Allocator tracks node capacity and performs allocation and migration.
 type Allocator struct {
-	machine *topology.Machine
-	used    map[int]uint64 // nodeID → bytes
+	used []uint64 // node ID → bytes
 }
 
 // NewAllocator returns an allocator over the machine's nodes.
 func NewAllocator(m *topology.Machine) *Allocator {
-	return &Allocator{machine: m, used: map[int]uint64{}}
+	return &Allocator{used: make([]uint64, len(m.Nodes))}
 }
 
 // Used reports bytes allocated on a node.
@@ -241,15 +246,18 @@ func (a *Allocator) Free(n *topology.Node) uint64 {
 }
 
 // Alloc grows the space by size bytes placed according to the policy.
-// On ErrNoCapacity the space is left unchanged.
+// On ErrNoCapacity the space is left unchanged. The page table grows
+// once, after placement has succeeded.
 func (a *Allocator) Alloc(s *Space, size uint64, pol Policy) error {
 	pages := int((size + s.PageSize - 1) / s.PageSize)
 	placed, err := pol.place(a, s.PageSize, pages)
 	if err != nil {
 		return err
 	}
+	s.Pages = slices.Grow(s.Pages, len(placed))
 	for _, n := range placed {
 		a.used[n.ID] += s.PageSize
+		s.addPages(n, 1)
 		// New pages are born current: decay epochs before allocation do
 		// not apply to them.
 		s.Pages = append(s.Pages, Page{Node: n, decayedAt: s.heatEpoch})
@@ -260,9 +268,10 @@ func (a *Allocator) Alloc(s *Space, size uint64, pol Policy) error {
 // FreeSpace releases every page of the space back to its nodes and
 // truncates the space.
 func (a *Allocator) FreeSpace(s *Space) {
-	for i := range s.Pages {
-		a.release(s.Pages[i].Node, s.PageSize)
-	}
+	s.EachNode(func(n *topology.Node, pages int) {
+		a.release(n, uint64(pages)*s.PageSize)
+	})
+	clear(s.resident)
 	s.Pages = s.Pages[:0]
 }
 
@@ -285,6 +294,8 @@ func (a *Allocator) Migrate(s *Space, page int, dst *topology.Node) error {
 	}
 	a.release(p.Node, s.PageSize)
 	a.used[dst.ID] += s.PageSize
+	s.addPages(p.Node, -1)
+	s.addPages(dst, 1)
 	p.Node = dst
 	return nil
 }
@@ -333,7 +344,7 @@ func (il InterleaveNM) place(a *Allocator, pageSize uint64, pages int) ([]*topol
 	}
 	out := make([]*topology.Node, 0, pages)
 	// Tentative placement must be atomic: track hypothetical usage.
-	tentative := map[int]uint64{}
+	tentative := make([]uint64, len(a.used))
 	free := func(n *topology.Node) uint64 {
 		f := a.Free(n)
 		t := tentative[n.ID]
@@ -378,7 +389,7 @@ func fillFirst(a *Allocator, nodes []*topology.Node, pageSize uint64, pages int)
 		return nil, errors.New("vmm: policy with no nodes")
 	}
 	out := make([]*topology.Node, 0, pages)
-	tentative := map[int]uint64{}
+	tentative := make([]uint64, len(a.used))
 	ni := 0
 	for i := 0; i < pages; i++ {
 		for ni < len(nodes) {

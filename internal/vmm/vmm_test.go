@@ -348,3 +348,18 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkAllocInterleave512G places the paper's 512 GB KeyDB heap 1:1
+// across the Table-1 machine's DRAM and CXL nodes (the 1:1 configuration
+// of Fig. 5): 262,144 pages of 2 MiB on a fresh allocator and space.
+func BenchmarkAllocInterleave512G(b *testing.B) {
+	m := testMachine()
+	dram := append(m.DRAMNodes(0), m.DRAMNodes(1)...)
+	pol := InterleaveNM{Top: dram, Low: m.CXLNodes(), N: 1, M: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := NewAllocator(m).Alloc(NewSpace(0), 512<<30, pol); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
