@@ -45,9 +45,12 @@ check: vet build race-fault race-shard race bench-build bench-compare-smoke repo
 # binary, starts it with the RESP front end and durable spill tier on
 # ephemeral ports, drives a pipelined command mix over raw TCP asserting
 # byte-exact replies and per-command /metrics, then SIGINTs and requires
-# a clean graceful drain (spill tier closed exactly once).
+# a clean graceful drain (spill tier closed exactly once). It also runs
+# the server tests over the flush contract: one write per pipelined
+# batch, and owed replies written before a read that can block.
 resp-smoke:
 	$(GO) test -run TestRESPSmoke -v ./cmd/cxlserve
+	$(GO) test -run TestServer ./internal/resp
 
 # crash-matrix replays the seeded spill workload, crashing at a bounded
 # stride of write/fsync boundaries (SPILL_CRASH_BOUNDARIES caps the

@@ -56,11 +56,30 @@ type RESPBackend struct {
 	lastEpoch sim.Time
 	shed      uint64
 
-	latency *obs.HistogramVec
-	vtimeG  *obs.Gauge
-	keysG   *obs.Gauge
-	shedC   *obs.Counter
+	latency   *obs.HistogramVec
+	latencyOf [numRespCmds]*obs.Histogram // latency's children, bound on first use
+	vtimeG    *obs.Gauge
+	keysG     *obs.Gauge
+	shedC     *obs.Counter
 }
+
+// respCmd indexes the commands the backend prices, so charge reaches
+// each command's latency child without a labeled lookup.
+type respCmd uint8
+
+const (
+	respGet respCmd = iota
+	respSet
+	respDel
+	respExists
+	respIncr
+	respMGet
+	respMSet
+	numRespCmds
+)
+
+// respCmdNames holds each command's metric label.
+var respCmdNames = [numRespCmds]string{"get", "set", "del", "exists", "incr", "mget", "mset"}
 
 // respEpochNs is the co-simulation epoch: how much virtual time elapses
 // between EpochFlows resolutions (kvstore.Run's default cadence).
@@ -118,7 +137,7 @@ func (b *RESPBackend) simKey(key []byte) uint64 {
 // charge prices one operation through the store's service-time model,
 // advances the virtual clock, and resolves an epoch when due. Caller
 // holds b.mu.
-func (b *RESPBackend) charge(cmd string, kind workload.OpKind, key []byte) {
+func (b *RESPBackend) charge(cmd respCmd, kind workload.OpKind, key []byte) {
 	t := b.store.ServiceTime(workload.Op{Kind: kind, Key: b.simKey(key)}, b.now)
 	b.now += sim.Time(t)
 	if b.now-b.lastEpoch >= respEpochNs {
@@ -126,7 +145,12 @@ func (b *RESPBackend) charge(cmd string, kind workload.OpKind, key []byte) {
 		b.lastEpoch = b.now
 	}
 	if b.latency != nil {
-		b.latency.With(cmd).Observe(t)
+		h := b.latencyOf[cmd]
+		if h == nil {
+			h = b.latency.With(respCmdNames[cmd])
+			b.latencyOf[cmd] = h
+		}
+		h.Observe(t)
 		b.vtimeG.Set(float64(b.now))
 	}
 }
@@ -148,11 +172,11 @@ func (b *RESPBackend) checkKey(key []byte) error {
 func (b *RESPBackend) Get(key []byte) ([]byte, bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.get("get", key)
+	return b.get(respGet, key)
 }
 
 // get is the shared read path. Caller holds b.mu.
-func (b *RESPBackend) get(cmd string, key []byte) ([]byte, bool, error) {
+func (b *RESPBackend) get(cmd respCmd, key []byte) ([]byte, bool, error) {
 	if err := b.checkKey(key); err != nil {
 		return nil, false, err
 	}
@@ -183,11 +207,11 @@ func (b *RESPBackend) get(cmd string, key []byte) ([]byte, bool, error) {
 func (b *RESPBackend) Set(key, val []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.set("set", key, val)
+	return b.set(respSet, key, val)
 }
 
 // set is the shared write path. Caller holds b.mu.
-func (b *RESPBackend) set(cmd string, key, val []byte) error {
+func (b *RESPBackend) set(cmd respCmd, key, val []byte) error {
 	if err := b.checkKey(key); err != nil {
 		return err
 	}
@@ -245,7 +269,7 @@ func (b *RESPBackend) Del(keys [][]byte) (int64, error) {
 				return n, resp.ReplyError("BUSY spill tier error: " + err.Error())
 			}
 		}
-		b.charge("del", workload.OpUpdate, key)
+		b.charge(respDel, workload.OpUpdate, key)
 		delete(b.vals, string(key))
 		n++
 	}
@@ -265,7 +289,7 @@ func (b *RESPBackend) Exists(keys [][]byte) (int64, error) {
 		if err := b.checkKey(key); err != nil {
 			return n, err
 		}
-		b.charge("exists", workload.OpRead, key)
+		b.charge(respExists, workload.OpRead, key)
 		if _, ok := b.vals[string(key)]; ok {
 			n++
 		} else if b.tier != nil && b.tier.Has(key) {
@@ -279,7 +303,7 @@ func (b *RESPBackend) Exists(keys [][]byte) (int64, error) {
 func (b *RESPBackend) Incr(key []byte) (int64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur, ok, err := b.get("incr", key)
+	cur, ok, err := b.get(respIncr, key)
 	if err != nil {
 		return 0, err
 	}
@@ -291,7 +315,7 @@ func (b *RESPBackend) Incr(key []byte) (int64, error) {
 		}
 	}
 	n++
-	if err := b.set("incr", key, strconv.AppendInt(nil, n, 10)); err != nil {
+	if err := b.set(respIncr, key, strconv.AppendInt(nil, n, 10)); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -303,7 +327,7 @@ func (b *RESPBackend) MGet(keys [][]byte) ([][]byte, error) {
 	defer b.mu.Unlock()
 	out := make([][]byte, len(keys))
 	for i, key := range keys {
-		v, ok, err := b.get("mget", key)
+		v, ok, err := b.get(respMGet, key)
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +343,7 @@ func (b *RESPBackend) MSet(pairs [][]byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i := 0; i+1 < len(pairs); i += 2 {
-		if err := b.set("mset", pairs[i], pairs[i+1]); err != nil {
+		if err := b.set(respMSet, pairs[i], pairs[i+1]); err != nil {
 			return err
 		}
 	}

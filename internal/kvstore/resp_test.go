@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -247,8 +248,18 @@ func TestRESPBackendVirtualClock(t *testing.T) {
 	if f, ok := snap.Find(obs.MetricRESPVirtualTimeNs); !ok || f.Metrics[0].Value <= 0 {
 		t.Fatal("resp_virtual_time_ns gauge not published")
 	}
-	if f, ok := snap.Find(obs.MetricRESPServiceNs); !ok || len(f.Metrics) == 0 {
+	f, ok := snap.Find(obs.MetricRESPServiceNs)
+	if !ok {
 		t.Fatal("resp_command_service_ns histogram not published")
+	}
+	// One child per command used, no more: the children are bound on
+	// first use, not up front.
+	var children []string
+	for _, m := range f.Metrics {
+		children = append(children, fmt.Sprint(m.LabelValues[0], "=", m.Histogram.Count))
+	}
+	if got := strings.Join(children, " "); got != "get=5000 set=1" {
+		t.Fatalf("resp_command_service_ns children %q, want \"get=5000 set=1\"", got)
 	}
 
 	info := b.Info()

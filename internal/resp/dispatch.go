@@ -2,6 +2,7 @@ package resp
 
 import (
 	"strings"
+	"sync/atomic"
 
 	"cxlsim/internal/obs"
 )
@@ -39,6 +40,10 @@ type Dispatcher struct {
 	// Per-command observability; nil until Instrument.
 	cmds *obs.CounterVec
 	errs *obs.CounterVec
+	// calls and fails cache each command's children of cmds and errs,
+	// indexed by cmdID. A child is bound the first time it is counted,
+	// so the exposition lists only commands that were sent.
+	calls, fails [numCmds]atomic.Pointer[obs.Counter]
 }
 
 // NewDispatcher returns a dispatcher over b.
@@ -53,14 +58,72 @@ func (d *Dispatcher) Instrument(reg *obs.Registry) {
 	d.errs = reg.CounterVec(obs.MetricRESPErrors, "RESP commands answered with an error reply", "cmd")
 }
 
-// knownCommands bounds the metric label space: everything else counts
-// under "unknown" so a hostile client cannot mint unbounded label
-// values.
-var knownCommands = map[string]bool{
-	"get": true, "set": true, "del": true, "exists": true, "incr": true,
-	"mget": true, "mset": true, "ping": true, "echo": true, "info": true,
-	"config": true, "command": true, "select": true, "quit": true,
-	"hello": true,
+// cmdID indexes the known commands. Everything else is cmdUnknown and
+// counts under the "unknown" label, so a hostile client cannot mint
+// unbounded label values.
+type cmdID uint8
+
+const (
+	cmdGet cmdID = iota
+	cmdSet
+	cmdDel
+	cmdExists
+	cmdIncr
+	cmdMGet
+	cmdMSet
+	cmdPing
+	cmdEcho
+	cmdInfo
+	cmdConfig
+	cmdCommand
+	cmdSelect
+	cmdQuit
+	cmdHello
+	cmdUnknown
+	numCmds
+)
+
+// cmdNames holds each command's lower-case name, which is also its
+// metric label.
+var cmdNames = [numCmds]string{
+	"get", "set", "del", "exists", "incr", "mget", "mset", "ping", "echo",
+	"info", "config", "command", "select", "quit", "hello", "unknown",
+}
+
+// maxCmdName is the longest known command name; longer names are
+// unknown without a lookup.
+const maxCmdName = len("command")
+
+// lookup resolves a command name case-insensitively without
+// allocating.
+func lookup(name []byte) cmdID {
+	if len(name) > maxCmdName {
+		return cmdUnknown
+	}
+	var buf [maxCmdName]byte
+	lower := buf[:len(name)]
+	for i, c := range name {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		lower[i] = c
+	}
+	for id, n := range cmdNames[:cmdUnknown] {
+		if string(lower) == n {
+			return cmdID(id)
+		}
+	}
+	return cmdUnknown
+}
+
+// child returns vec's child for id, binding it into cache on first use.
+func child(cache *atomic.Pointer[obs.Counter], vec *obs.CounterVec, id cmdID) *obs.Counter {
+	c := cache.Load()
+	if c == nil {
+		c = vec.With(cmdNames[id])
+		cache.Store(c)
+	}
+	return c
 }
 
 // Dispatch executes one command, appending its reply to out and
@@ -68,25 +131,22 @@ var knownCommands = map[string]bool{
 // close (QUIT) after the reply is flushed. Empty argument lists are the
 // caller's to skip.
 func (d *Dispatcher) Dispatch(args [][]byte, out []byte) (reply []byte, quit bool) {
-	cmd := strings.ToLower(string(args[0]))
-	label := cmd
-	if !knownCommands[label] {
-		label = "unknown"
-	}
+	id := lookup(args[0])
 	if d.cmds != nil {
-		d.cmds.With(label).Inc()
+		child(&d.calls[id], d.cmds, id).Inc()
 	}
 	before := len(out)
-	out, quit = d.exec(cmd, args, out)
+	out, quit = d.exec(id, args, out)
 	if d.errs != nil && len(out) > before && out[before] == '-' {
-		d.errs.With(label).Inc()
+		child(&d.fails[id], d.errs, id).Inc()
 	}
 	return out, quit
 }
 
-func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) {
-	switch cmd {
-	case "get":
+func (d *Dispatcher) exec(id cmdID, args [][]byte, out []byte) ([]byte, bool) {
+	cmd := cmdNames[id]
+	switch id {
+	case cmdGet:
 		if len(args) != 2 {
 			return AppendError(out, string(wrongArity(cmd))), false
 		}
@@ -99,7 +159,7 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		}
 		return AppendBulk(out, v), false
 
-	case "set":
+	case cmdSet:
 		// Plain two-argument SET only; the EX/PX/NX/XX options are not
 		// modeled (redis-benchmark's SET workload never sends them).
 		if len(args) != 3 {
@@ -110,7 +170,7 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		}
 		return AppendSimpleString(out, "OK"), false
 
-	case "del":
+	case cmdDel:
 		if len(args) < 2 {
 			return AppendError(out, string(wrongArity(cmd))), false
 		}
@@ -120,7 +180,7 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		}
 		return AppendInt(out, n), false
 
-	case "exists":
+	case cmdExists:
 		if len(args) < 2 {
 			return AppendError(out, string(wrongArity(cmd))), false
 		}
@@ -130,7 +190,7 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		}
 		return AppendInt(out, n), false
 
-	case "incr":
+	case cmdIncr:
 		if len(args) != 2 {
 			return AppendError(out, string(wrongArity(cmd))), false
 		}
@@ -140,7 +200,7 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		}
 		return AppendInt(out, n), false
 
-	case "mget":
+	case cmdMGet:
 		if len(args) < 2 {
 			return AppendError(out, string(wrongArity(cmd))), false
 		}
@@ -158,7 +218,7 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		}
 		return out, false
 
-	case "mset":
+	case cmdMSet:
 		if len(args) < 3 || len(args)%2 != 1 {
 			return AppendError(out, string(wrongArity(cmd))), false
 		}
@@ -167,7 +227,7 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		}
 		return AppendSimpleString(out, "OK"), false
 
-	case "ping":
+	case cmdPing:
 		switch len(args) {
 		case 1:
 			return AppendSimpleString(out, "PONG"), false
@@ -176,16 +236,16 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		}
 		return AppendError(out, string(wrongArity(cmd))), false
 
-	case "echo":
+	case cmdEcho:
 		if len(args) != 2 {
 			return AppendError(out, string(wrongArity(cmd))), false
 		}
 		return AppendBulk(out, args[1]), false
 
-	case "info":
+	case cmdInfo:
 		return AppendBulkString(out, d.b.Info()), false
 
-	case "config":
+	case cmdConfig:
 		// redis-benchmark probes CONFIG GET save / appendonly at startup;
 		// answer with inert values so it proceeds. CONFIG SET is accepted
 		// and ignored — there is no live reconfiguration surface here.
@@ -207,25 +267,25 @@ func (d *Dispatcher) exec(cmd string, args [][]byte, out []byte) ([]byte, bool) 
 		}
 		return AppendError(out, "ERR unknown CONFIG subcommand"), false
 
-	case "command":
+	case cmdCommand:
 		// COMMAND [DOCS|COUNT|...]: clients only use this to size tab
 		// completion; an empty array (or zero count) is a valid answer.
 		if len(args) >= 2 && strings.EqualFold(string(args[1]), "count") {
-			return AppendInt(out, int64(len(knownCommands))), false
+			return AppendInt(out, int64(cmdUnknown)), false // the known-command count
 		}
 		return AppendArray(out, 0), false
 
-	case "select":
+	case cmdSelect:
 		// Single keyspace: accept any database index.
 		if len(args) != 2 {
 			return AppendError(out, string(wrongArity(cmd))), false
 		}
 		return AppendSimpleString(out, "OK"), false
 
-	case "quit":
+	case cmdQuit:
 		return AppendSimpleString(out, "OK"), true
 
-	case "hello":
+	case cmdHello:
 		// RESP3 negotiation: refusing makes redis-cli ≥ 6 fall back to
 		// RESP2, which is all this front end speaks.
 		return AppendError(out, "NOPROTO unsupported protocol version"), false

@@ -183,28 +183,94 @@ func TestDispatchMetrics(t *testing.T) {
 
 	d.Dispatch(args("PING"), nil)
 	d.Dispatch(args("GET", "k"), nil)
+	d.Dispatch(args("gEt", "k"), nil)          // mixed case → same label
 	d.Dispatch(args("GET"), nil)               // arity error
 	d.Dispatch(args("WHATEVER-8291"), nil)     // unknown → bounded label
 	d.Dispatch(args("ANOTHER-UNKNOWN-X"), nil) // same label
+	long := "A-COMMAND-NAME-LONGER-THAN-SIXTEEN-BYTES"
+	if got, _ := d.Dispatch(args(long), nil); string(got) != "-ERR unknown command '"+long+"'\r\n" {
+		t.Fatalf("long unknown command: %q", got)
+	}
 
 	snap := reg.Snapshot()
-	cmds, ok := snap.Find(obs.MetricRESPCommands)
-	if !ok {
-		t.Fatal("resp_commands_total missing")
-	}
-	byLabel := map[string]float64{}
-	for _, m := range cmds.Metrics {
-		byLabel[m.LabelValues[0]] = m.Value
-	}
-	if byLabel["ping"] != 1 || byLabel["get"] != 2 || byLabel["unknown"] != 2 {
+	byLabel := labelValues(t, snap, obs.MetricRESPCommands)
+	if len(byLabel) != 3 || byLabel["ping"] != 1 || byLabel["get"] != 3 || byLabel["unknown"] != 3 {
 		t.Fatalf("command counters wrong: %v", byLabel)
 	}
-	errs, _ := snap.Find(obs.MetricRESPErrors)
-	errByLabel := map[string]float64{}
-	for _, m := range errs.Metrics {
-		errByLabel[m.LabelValues[0]] = m.Value
-	}
-	if errByLabel["get"] != 1 || errByLabel["unknown"] != 2 {
+	// Children exist only for commands that were counted: no "set"
+	// child (never sent), no "ping" error child (never failed).
+	errByLabel := labelValues(t, snap, obs.MetricRESPErrors)
+	if len(errByLabel) != 2 || errByLabel["get"] != 1 || errByLabel["unknown"] != 3 {
 		t.Fatalf("error counters wrong: %v", errByLabel)
+	}
+}
+
+// TestDispatchMetricsConcurrent binds the metric children from several
+// connections at once; every command must be counted exactly once.
+func TestDispatchMetricsConcurrent(t *testing.T) {
+	reg := obs.NewRegistry()
+	d := NewDispatcher(newMapBackend())
+	d.Instrument(reg)
+	const workers, each = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var out []byte
+			for i := 0; i < each; i++ {
+				out, _ = d.Dispatch(args("GET"), out[:0]) // arity error
+				out, _ = d.Dispatch(args("NOPE"), out[:0])
+			}
+		}()
+	}
+	wg.Wait()
+	snap := reg.Snapshot()
+	for _, name := range []string{obs.MetricRESPCommands, obs.MetricRESPErrors} {
+		got := labelValues(t, snap, name)
+		if len(got) != 2 || got["get"] != workers*each || got["unknown"] != workers*each {
+			t.Fatalf("%s: %v, want %d each for get and unknown", name, got, workers*each)
+		}
+	}
+}
+
+// labelValues maps a one-label family's children to their values.
+func labelValues(t *testing.T, snap obs.Snapshot, name string) map[string]float64 {
+	t.Helper()
+	f, ok := snap.Find(name)
+	if !ok {
+		t.Fatalf("%s missing", name)
+	}
+	m := map[string]float64{}
+	for _, c := range f.Metrics {
+		m[c.LabelValues[0]] = c.Value
+	}
+	return m
+}
+
+// stubBackend answers GET with a fixed value and accepts SET without
+// copying, so only the dispatcher's own allocations are measured.
+type stubBackend struct {
+	*mapBackend
+	val []byte
+}
+
+func (b stubBackend) Get([]byte) ([]byte, bool, error) { return b.val, true, nil }
+func (b stubBackend) Set(_, _ []byte) error            { return nil }
+
+// TestDispatchAllocs pins that resolving and counting GET/SET costs no
+// allocation once the reply buffer is warm and the metric children are
+// bound.
+func TestDispatchAllocs(t *testing.T) {
+	d := NewDispatcher(stubBackend{newMapBackend(), []byte("value")})
+	d.Instrument(obs.NewRegistry())
+	get, set := args("GET", "k"), args("set", "k", "v")
+	buf, _ := d.Dispatch(get, nil)
+	buf, _ = d.Dispatch(set, buf)
+	if n := testing.AllocsPerRun(100, func() {
+		buf, _ = d.Dispatch(get, buf[:0])
+		buf, _ = d.Dispatch(set, buf)
+	}); n != 0 {
+		t.Fatalf("Dispatch of GET+SET allocates %v times, want 0", n)
 	}
 }

@@ -73,9 +73,8 @@ func NewServer(b Backend, opts Options) *Server {
 }
 
 // Serve accepts connections on ln until Shutdown, then returns
-// ErrServerClosed. Each connection runs two goroutines: a read loop
-// that parses and dispatches commands, and a buffered reply writer —
-// pipelined clients keep parsing and execution ahead of the flush.
+// ErrServerClosed. Each connection is served by one goroutine (see
+// serveConn).
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.draining {
@@ -137,26 +136,21 @@ func (s *Server) untrack(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// serveConn runs one connection's read loop; replies flow to a writer
-// goroutine over a bounded channel so a slow reader of our replies
-// backpressures parsing instead of buffering without limit.
+// serveConn is one connection's read loop. Replies accumulate in
+// cio.out, which is written when it reaches flushThreshold, before
+// every socket read (connIO.Read), and on return, so QUIT and
+// protocol-error replies precede the close. A pipelined batch thus
+// gets one write, owed replies never wait behind a partly received
+// command, and a client that does not read its replies blocks
+// conn.Write, which stops parsing.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
 	defer conn.Close()
 
-	replies := make(chan []byte, 64)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		writeLoop(conn, replies)
-	}()
-	defer func() {
-		close(replies)
-		<-writerDone
-	}()
-
-	rd := NewReader(conn, s.opts.Limits)
+	cio := &connIO{conn: conn}
+	defer cio.flush()
+	rd := NewReader(cio, s.opts.Limits)
 	for {
 		args, err := rd.ReadCommand()
 		if err != nil {
@@ -165,44 +159,62 @@ func (s *Server) serveConn(conn net.Conn) {
 				if s.protoErrs != nil {
 					s.protoErrs.Inc()
 				}
-				replies <- AppendError(nil, "ERR "+pe.Error())
+				cio.out = AppendError(cio.out, "ERR "+pe.Error())
 			}
 			return
 		}
 		if len(args) == 0 {
 			continue
 		}
-		out, quit := s.disp.Dispatch(args, nil)
-		replies <- out
+		var quit bool
+		cio.out, quit = s.disp.Dispatch(args, cio.out)
 		if quit {
+			return
+		}
+		if len(cio.out) >= flushThreshold && cio.flush() != nil {
 			return
 		}
 	}
 }
 
-// writeLoop batches replies into one buffered writer, flushing only
-// when no further reply is immediately pending — a pipelined burst of N
-// commands goes out in one (or few) TCP segments.
-func writeLoop(conn net.Conn, replies <-chan []byte) {
-	const flushThreshold = 64 << 10
-	buf := make([]byte, 0, 16<<10)
-	for b := range replies {
-		buf = append(buf, b...)
-		if len(replies) > 0 && len(buf) < flushThreshold {
-			continue
-		}
-		if _, err := conn.Write(buf); err != nil {
-			// Peer gone: drain the channel so the read loop never blocks
-			// sending to it, then bail.
-			for range replies {
-			}
-			return
-		}
-		buf = buf[:0]
+const (
+	// flushThreshold caps the replies held back for one batch.
+	flushThreshold = 64 << 10
+	// maxIdleReplyBuf is the largest reply buffer kept across a flush;
+	// a bigger one (one huge MGET reply) is dropped so an idle
+	// connection does not hold it.
+	maxIdleReplyBuf = 1 << 20
+)
+
+// connIO is a connection's read side plus its pending replies. Read
+// writes the pending replies out before it reads, so the bufio reader
+// on top of it never blocks on the network while replies wait.
+type connIO struct {
+	conn net.Conn
+	out  []byte
+}
+
+// Read implements io.Reader.
+func (c *connIO) Read(p []byte) (int, error) {
+	if err := c.flush(); err != nil {
+		return 0, err
 	}
-	if len(buf) > 0 {
-		conn.Write(buf)
+	return c.conn.Read(p)
+}
+
+// flush writes the pending replies. A write error means the peer is
+// gone; the caller stops serving.
+func (c *connIO) flush() error {
+	if len(c.out) == 0 {
+		return nil
 	}
+	_, err := c.conn.Write(c.out)
+	if cap(c.out) > maxIdleReplyBuf {
+		c.out = nil
+	} else {
+		c.out = c.out[:0]
+	}
+	return err
 }
 
 // Shutdown gracefully drains the server: the listener closes, read
