@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE := $(shell date +%Y%m%d)
 BENCH_OUT ?= BENCH_$(BENCH_DATE).txt
 
-.PHONY: all build vet test race race-fault race-shard check bench bench-build bench-compare bench-baseline bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
+.PHONY: all build vet test race race-fault race-shard check bench bench-build bench-compare bench-baseline bench-compare-smoke report-smoke golden crash-matrix fuzz-smoke resp-smoke
 
 all: build
 
@@ -118,3 +118,11 @@ report-smoke:
 	$(GO) run ./cmd/cxlreport -o /tmp/report-smoke.html \
 		cmd/cxlreport/testdata/healthy.json cmd/cxlreport/testdata/degraded.json
 	cmp /tmp/report-smoke.html cmd/cxlreport/testdata/golden.html
+
+# golden rewrites the CLI behaviour locks from the current code: the
+# cxlbench -quick tables and CSV, and cxlycsb's stdout plus sha256
+# digests of its trace and metrics files (cmd/*/testdata/*.golden).
+# `go test` compares against them on the GOARCH they were recorded on.
+# Run it only after an intentional output change, and commit the result.
+golden:
+	$(GO) test ./cmd/cxlbench ./cmd/cxlycsb -run TestGolden -update
