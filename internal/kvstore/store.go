@@ -505,7 +505,7 @@ func (s *Store) refreshLatencies(flows []memsim.OpenFlow) {
 		_, util = memsim.SolveOpen(flows)
 	}
 	// Retain a by-name copy for observability consumers (obs gauges,
-	// pcm counters, trace timelines).
+	// trace timelines).
 	if s.lastUtil == nil {
 		s.lastUtil = map[string]float64{}
 		s.lastPeak = map[string]float64{}

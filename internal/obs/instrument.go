@@ -8,7 +8,7 @@ import (
 )
 
 // Canonical metric family names shared across subsystems, so every
-// exporter and consumer (pcm, dashboards, tests) agrees on spelling.
+// exporter and consumer (dashboards, tests) agrees on spelling.
 const (
 	MetricSimScheduled  = "sim_events_scheduled_total"
 	MetricSimFired      = "sim_events_fired_total"
@@ -126,8 +126,8 @@ func (o *KernelObserver) EventCanceled(now sim.Time, pending int) {
 
 // InstrumentMemsim installs a process-wide memsim solve observer that
 // counts solver passes and publishes per-resource utilization and
-// estimated bandwidth gauge families into reg — the counter surface the
-// pcm package consumes. Pass a nil registry to uninstall.
+// estimated bandwidth gauge families into reg. Pass a nil registry to
+// uninstall.
 //
 // The hook is global (the solvers are package-level functions); commands
 // and servers install it once at startup. Installing it twice replaces
