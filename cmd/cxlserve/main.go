@@ -34,7 +34,7 @@
 //
 // The debug mux (net/http/pprof under /debug/pprof/, expvar under
 // /debug/vars) is registered by obs.RegisterDebug; one-shot commands
-// (cxlbench, cxltrace) take -cpuprofile/-memprofile flags instead.
+// (cxlbench, cxlycsb) take -cpuprofile/-memprofile flags instead.
 package main
 
 import (
