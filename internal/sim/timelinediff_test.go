@@ -1,15 +1,15 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 )
 
-// Differential check between the two timeline implementations. Both the
-// wheel and the retired heap are compiled in every build (the tag only
-// selects which one backs Engine), so one binary can replay the same
-// operation script against both and demand identical observable behavior:
-// same peek, same pop order, same survivors after cancels.
+// Differential check between the engine's timing wheel and a reference
+// binary heap: one binary replays the same operation script against both
+// and demands identical observable behavior: same peek, same pop order,
+// same survivors after cancels.
 
 // tlOps is the common surface of wheel and heapTimeline.
 type tlOps interface {
@@ -158,4 +158,74 @@ func TestTimelineDifferentialRandom(t *testing.T) {
 		rng.Read(data)
 		replayTimelines(t, data)
 	}
+}
+
+// locHeap marks a slot held by the reference heap timeline.
+const locHeap int32 = -4
+
+// heapTimeline is the reference timeline: the container/heap queue the
+// timing wheel replaced. A binary heap ordered by (at, seq) is simple
+// enough to be obviously right, so the differential tests hold the wheel
+// to it.
+type heapTimeline struct {
+	h eventHeap
+}
+
+func (t *heapTimeline) len() int { return len(t.h) }
+
+func (t *heapTimeline) push(s *slot) {
+	s.loc = locHeap
+	heap.Push(&t.h, s)
+}
+
+func (t *heapTimeline) pop() *slot {
+	if len(t.h) == 0 {
+		return nil
+	}
+	s := heap.Pop(&t.h).(*slot)
+	s.loc = locNone
+	return s
+}
+
+func (t *heapTimeline) peek() (Time, bool) {
+	if len(t.h) == 0 {
+		return 0, false
+	}
+	return t.h[0].at, true
+}
+
+func (t *heapTimeline) remove(s *slot) {
+	heap.Remove(&t.h, s.idx)
+	s.loc = locNone
+	s.idx = -1
+}
+
+// eventHeap orders events by (time, sequence).
+type eventHeap []*slot
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx = i
+	h[j].idx = j
+}
+func (h *eventHeap) Push(x any) {
+	e := x.(*slot)
+	e.idx = len(*h)
+	*h = append(*h, e)
+}
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	e.idx = -1
+	*h = old[:n-1]
+	return e
 }

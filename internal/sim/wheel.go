@@ -2,9 +2,8 @@ package sim
 
 import "math/bits"
 
-// Hierarchical timing wheel: the default data structure behind the
-// engine's pending-event queue (build with -tags simheap to select the
-// retired container/heap timeline instead).
+// Hierarchical timing wheel: the data structure behind the engine's
+// pending-event queue.
 //
 // Virtual time is bucketed on a 1 ns tick grid. wheelLevels levels of
 // wheelSlots buckets each cover a horizon of 2^(wheelBits*wheelLevels)
@@ -17,7 +16,7 @@ import "math/bits"
 //
 // Events that share the current tick live in a small binary heap ("due")
 // ordered by the full (at, seq) key, so fractional-nanosecond times and
-// the FIFO tie-break keep exactly the ordering the heap timeline produced:
+// the FIFO tie-break keep exactly the ordering of a (time, seq) heap:
 // the wheel only ever coarsens *future* placement, never fire order.
 //
 // Invariants:
@@ -42,7 +41,6 @@ const (
 	locNone int32 = -1 // settled: not in any timeline container
 	locDue  int32 = -2 // wheel due heap
 	locOver int32 = -3 // wheel overflow slice
-	locHeap int32 = -4 // simheap binary-heap timeline
 )
 
 // tick truncates a virtual time to the wheel's 1 ns grid. Sub-nanosecond
