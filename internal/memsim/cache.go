@@ -1,5 +1,3 @@
-//go:build !nosolvecache
-
 package memsim
 
 import (
@@ -20,9 +18,6 @@ import (
 // across structurally identical but distinct machines (two
 // topology.Testbed() instances hit the same entries). Open solves are
 // not cached: one pass costs less than encoding the key.
-//
-// Build with -tags nosolvecache to compile the cache out entirely for
-// A/B validation; see cache_off.go.
 
 // solveCacheMaxEntries bounds cache memory. When the map fills, it is
 // cleared wholesale: the workloads that benefit (sweeps, epoch loops)
@@ -45,9 +40,6 @@ var solveCache = struct {
 	misses  atomic.Uint64
 }{entries: make(map[string]solveCacheEntry)}
 
-// SolveCacheEnabled reports whether solve memoization was compiled in.
-func SolveCacheEnabled() bool { return true }
-
 // SolveCacheStats reports cache hits, misses, and current entry count
 // since process start (or the last ResetSolveCache).
 func SolveCacheStats() (hits, misses uint64, entries int) {
@@ -57,8 +49,8 @@ func SolveCacheStats() (hits, misses uint64, entries int) {
 	return solveCache.hits.Load(), solveCache.misses.Load(), entries
 }
 
-// ResetSolveCache clears all cached solves and counters. Tests use it to
-// A/B cached against uncached runs.
+// ResetSolveCache clears all cached solves and counters. Tests and
+// benchmarks use it to measure cached against uncached solves.
 func ResetSolveCache() {
 	solveCache.mu.Lock()
 	defer solveCache.mu.Unlock()

@@ -131,9 +131,6 @@ func TestSetSolveObserverConcurrent(t *testing.T) {
 // result exactly — results and the utilization map rebuilt against the
 // caller's resource pointers.
 func TestSolveCacheHitsMatchMisses(t *testing.T) {
-	if !SolveCacheEnabled() {
-		t.Skip("built with -tags nosolvecache")
-	}
 	ResetSolveCache()
 	defer ResetSolveCache()
 
@@ -177,9 +174,6 @@ func TestSolveCacheHitsMatchMisses(t *testing.T) {
 // built twice (fresh pointers, same parameters) must share cache entries
 // — the fingerprint is parameter-based, not pointer-based.
 func TestSolveCacheSharedAcrossMachines(t *testing.T) {
-	if !SolveCacheEnabled() {
-		t.Skip("built with -tags nosolvecache")
-	}
 	ResetSolveCache()
 	defer ResetSolveCache()
 
@@ -206,9 +200,6 @@ func TestSolveCacheSharedAcrossMachines(t *testing.T) {
 // TestSolveCacheDistinguishesParams: changing any solver-relevant
 // parameter must miss, not alias onto a stale entry.
 func TestSolveCacheDistinguishesParams(t *testing.T) {
-	if !SolveCacheEnabled() {
-		t.Skip("built with -tags nosolvecache")
-	}
 	ResetSolveCache()
 	defer ResetSolveCache()
 
@@ -236,9 +227,6 @@ func TestSolveCacheDistinguishesParams(t *testing.T) {
 // the cache from many goroutines; run under -race this checks the cache's
 // own synchronization.
 func TestSolveCacheConcurrent(t *testing.T) {
-	if !SolveCacheEnabled() {
-		t.Skip("built with -tags nosolvecache")
-	}
 	ResetSolveCache()
 	defer ResetSolveCache()
 

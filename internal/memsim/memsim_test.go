@@ -481,3 +481,15 @@ func BenchmarkSolveClosed(b *testing.B) {
 		SolveClosed(flows)
 	}
 }
+
+// BenchmarkSolveClosedUncached measures the raw fixed-point solve that
+// the solve cache skips on a hit: the cache is emptied before every call.
+func BenchmarkSolveClosedUncached(b *testing.B) {
+	p := NewPath("MMEM", NewDDRDomain("ddr"))
+	flows := []ClosedFlow{{Placement: SinglePath(p), Mix: ReadOnly, Threads: 16, MLP: 8, AccessBytes: 64}}
+	defer ResetSolveCache()
+	for i := 0; i < b.N; i++ {
+		ResetSolveCache()
+		SolveClosed(flows)
+	}
+}
