@@ -24,9 +24,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -168,28 +168,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cxlbench: -report: no windowed runs collected (only fig8 supports windows)\n")
 			os.Exit(1)
 		}
-		if err := writeReport(*reportPath, windowedRuns); err != nil {
+		html := func(w io.Writer) error { return report.WriteHTML(w, windowedRuns) }
+		if err := report.WriteFile(*reportPath, html); err != nil {
 			fmt.Fprintf(os.Stderr, "cxlbench: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "cxlbench: wrote %s (%d run(s))\n", *reportPath, len(windowedRuns))
 	}
-}
-
-// writeReport renders the windowed runs as a self-contained HTML report.
-func writeReport(path string, runs []*report.Run) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	if err := report.WriteHTML(w, runs); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"cxlsim/internal/report"
@@ -49,32 +50,21 @@ func main() {
 	}
 }
 
-// render writes the HTML report to out ("-" for stdout). Flush and
-// Close errors are surfaced, not swallowed: on a full disk the failure
-// often only shows up there, and a partial report must fail the
-// command.
+// render writes the HTML report to out ("-" for stdout), surfacing
+// flush and close errors: on a full disk the failure often only shows up
+// there, and a partial report must fail the command.
 func render(out string, runs []*report.Run) error {
-	var f *os.File
-	if out == "-" {
-		f = os.Stdout
-	} else {
-		var err error
-		if f, err = os.Create(out); err != nil {
-			return err
-		}
+	html := func(w io.Writer) error { return report.WriteHTML(w, runs) }
+	if out != "-" {
+		return report.WriteFile(out, html)
 	}
-	w := bufio.NewWriter(f)
-	err := report.WriteHTML(w, runs)
+	w := bufio.NewWriter(os.Stdout)
+	err := html(w)
 	if err == nil {
 		err = w.Flush()
 	}
-	if out != "-" {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
 	if err != nil {
-		return fmt.Errorf("writing %s: %w", out, err)
+		return fmt.Errorf("writing stdout: %w", err)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@
 package report
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -62,4 +63,27 @@ func (r *Run) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(r)
+}
+
+// WriteFile creates path, hands fn a buffered writer, and surfaces every
+// failure as one error naming the path: fn's error, the buffer flush,
+// and the close, which is where deferred write errors (ENOSPC, quota)
+// appear on many filesystems. No dump may silently truncate.
+func WriteFile(path string, fn func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	werr := fn(w)
+	if werr == nil {
+		werr = w.Flush()
+	}
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return fmt.Errorf("writing %s: %w", path, werr)
+	}
+	return nil
 }

@@ -2,6 +2,9 @@ package report
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -166,5 +169,55 @@ func TestWriteHTMLEmptyRunsRejected(t *testing.T) {
 	var b bytes.Buffer
 	if err := WriteHTML(&b, nil); err == nil {
 		t.Fatal("empty run list accepted")
+	}
+}
+
+// TestWriteFileSurfacesErrors pins the contract every command's dump
+// path (-dump, -report, -trace, -metrics) relies on: WriteFile must
+// fail on an unwritable path, propagate fn's own error, and surface
+// flush/close failures such as ENOSPC instead of leaving a silently
+// truncated file behind.
+func TestWriteFileSurfacesErrors(t *testing.T) {
+	ok := filepath.Join(t.TempDir(), "out.txt")
+	if err := WriteFile(ok, func(w io.Writer) error {
+		_, err := io.WriteString(w, "payload")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(ok); err != nil || string(b) != "payload" {
+		t.Fatalf("wrote %q, %v", b, err)
+	}
+
+	if err := WriteFile(filepath.Join(t.TempDir(), "no", "dir", "x"), func(io.Writer) error {
+		return nil
+	}); err == nil {
+		t.Fatal("missing directory should error")
+	}
+
+	boom := errors.New("boom")
+	err := WriteFile(filepath.Join(t.TempDir(), "y"), func(io.Writer) error { return boom })
+	if !errors.Is(err, boom) {
+		t.Fatalf("fn error not propagated: %v", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), "writing ") {
+		t.Fatalf("error %v does not name the path", err)
+	}
+
+	// /dev/full accepts opens and small buffered writes but fails the
+	// flush with ENOSPC — exactly the failure mode WriteFile exists to
+	// catch. Skip quietly where the device is absent.
+	if _, err := os.Stat("/dev/full"); err == nil {
+		err := WriteFile("/dev/full", func(w io.Writer) error {
+			for i := 0; i < 10000; i++ {
+				if _, err := fmt.Fprintln(w, "fill the buffer so flush hits the device"); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatal("WriteFile to /dev/full should surface ENOSPC")
+		}
 	}
 }
