@@ -178,3 +178,17 @@ func TestSSDPathIsSlow(t *testing.T) {
 		t.Fatal("SSD read latency should be tens of microseconds")
 	}
 }
+
+// TestUPIUtilizationBelow30OnRemoteCXL: §3.2 observes that even at the
+// remote-CXL bandwidth clamp "UPI utilization is consistently below 30%":
+// the RSF, not the UPI, is the bottleneck.
+func TestUPIUtilizationBelow30OnRemoteCXL(t *testing.T) {
+	m := TestbedSNC()
+	p := m.PathFrom(1, m.CXLNodes()[0])
+	_, util := memsim.SolveOpen([]memsim.OpenFlow{
+		{Placement: memsim.SinglePath(p), Mix: memsim.Mix2to1, Offered: p.PeakBandwidth(memsim.Mix2to1)},
+	})
+	if u := util[m.UPI()]; u >= 0.45 {
+		t.Fatalf("UPI utilization %v at remote-CXL saturation; paper observes the UPI is not the bottleneck", u)
+	}
+}
