@@ -269,7 +269,7 @@ func TestBytesPerKeyAndPages(t *testing.T) {
 	}
 	// All pages must be on DRAM for the MMEM config.
 	for i := range d.Store.Space().Pages {
-		if d.Store.Space().Pages[i].Node.Kind != topology.DRAM {
+		if d.Store.Space().Node(i).Kind != topology.DRAM {
 			t.Fatal("MMEM config placed a page off DRAM")
 		}
 	}

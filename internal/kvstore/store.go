@@ -344,7 +344,7 @@ func (s *Store) HitRate() float64 {
 func (s *Store) ServiceTime(op workload.Op, now sim.Time) float64 {
 	key := op.Key % uint64(s.cfg.SimKeys)
 	page := s.pageOf(key)
-	node := s.space.Pages[page].Node
+	node := s.space.Node(page)
 	s.growNode(node.ID)
 	lat := s.nodeLatency[node.ID]
 	if lat == 0 {

@@ -66,13 +66,13 @@ func TestTPPDemotionFallsBackToAlternateTier(t *testing.T) {
 		t.Fatal("watermark violation produced no demotions")
 	}
 	for i := range space.Pages {
-		if space.Pages[i].Node == cxl0 {
+		if space.Node(i) == cxl0 {
 			t.Fatalf("page %d demoted onto the degraded cxl0", i)
 		}
 	}
 	onAlternate := 0
 	for i := range space.Pages {
-		if space.Pages[i].Node == cxl1 {
+		if space.Node(i) == cxl1 {
 			onAlternate++
 		}
 	}
@@ -116,8 +116,8 @@ func TestHotPromoteEvacuatesDegradedNode(t *testing.T) {
 		t.Fatalf("evacuated %d pages, want all %d off the degraded node", rep.PromotedPages, pages)
 	}
 	for i := range space.Pages {
-		if space.Pages[i].Node != dram {
-			t.Fatalf("page %d still on %s after evacuation", i, space.Pages[i].Node.Name)
+		if space.Node(i) != dram {
+			t.Fatalf("page %d still on %s after evacuation", i, space.Node(i).Name)
 		}
 	}
 	// Evacuation respects the shared migration budget: with a one-page

@@ -1,6 +1,7 @@
 package tiering
 
 import (
+	"slices"
 	"testing"
 
 	"cxlsim/internal/sim"
@@ -23,6 +24,13 @@ const harnessPages = 512
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
+	return newHarnessPages(t, harnessPages)
+}
+
+// newHarnessPages builds the harness with a space of the given number of
+// default-size pages.
+func newHarnessPages(tb testing.TB, pages int) *harness {
+	tb.Helper()
 	m := topology.Testbed()
 	alloc := vmm.NewAllocator(m)
 	space := vmm.NewSpace(0)
@@ -31,13 +39,13 @@ func newHarness(t *testing.T) *harness {
 
 	// Cap DRAM at half the dataset by pre-filling the rest.
 	fill := vmm.NewSpace(0)
-	reserve := dram.Capacity - uint64(harnessPages/2)*vmm.DefaultPageSize
+	reserve := dram.Capacity - uint64(pages/2)*vmm.DefaultPageSize
 	if err := alloc.Alloc(fill, reserve, vmm.Bind{Nodes: []*topology.Node{dram}}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	pol := vmm.InterleaveNM{Top: []*topology.Node{dram}, Low: []*topology.Node{cxl}, N: 1, M: 1}
-	if err := alloc.Alloc(space, harnessPages*vmm.DefaultPageSize, pol); err != nil {
-		t.Fatal(err)
+	if err := alloc.Alloc(space, uint64(pages)*vmm.DefaultPageSize, pol); err != nil {
+		tb.Fatal(err)
 	}
 	return &harness{
 		m: m, alloc: alloc, space: space,
@@ -60,7 +68,7 @@ func (h *harness) epoch(gen workload.Generator, accesses int, d Daemon) Report {
 func (h *harness) fastHeatShare() float64 {
 	share := 0.0
 	for n, f := range h.space.HeatShare() {
-		if h.tiers.isFast(n) {
+		if slices.Contains(h.tiers.Fast, n) {
 			share += f
 		}
 	}
@@ -161,7 +169,7 @@ func TestHotPromoteDemotesToMakeRoom(t *testing.T) {
 	// Heat up only CXL pages so every promotion needs a demotion (the
 	// fast tier is exactly full: capacity == half the dataset).
 	for i := range h.space.Pages {
-		if h.tiers.isSlow(h.space.Pages[i].Node) {
+		if slices.Contains(h.tiers.Slow, h.space.Node(i)) {
 			h.space.Touch(i, 100, 1)
 		}
 	}
@@ -265,5 +273,32 @@ func TestHotPromoteNameAndDefaults(t *testing.T) {
 	d.Tick(0, vmm.NewSpace(0), vmm.NewAllocator(topology.Testbed()))
 	if d.Threshold != DefaultHotThreshold {
 		t.Fatalf("default threshold = %v, want %v", d.Threshold, DefaultHotThreshold)
+	}
+}
+
+// BenchmarkHotPromoteTick is one tiering epoch of Fig. 5's Hot-Promote
+// cell: the paper's 512 GB heap (262,144 pages of 2 MiB) interleaved 1:1
+// over DRAM and CXL with DRAM capped at half, and the daemon settings
+// kvstore.Deploy gives it. Heat is seeded from a fixed Zipfian draw of
+// pages; each op re-applies those touches, so heat holds steady at any
+// b.N, then runs one Tick and one DecayHeat(0.5), as the epoch loop does.
+func BenchmarkHotPromoteTick(b *testing.B) {
+	const pages = 512 << 30 / vmm.DefaultPageSize
+	h := newHarnessPages(b, pages)
+	d := &HotPromote{Tiers: h.tiers, RateLimitBytes: 128 << 20, AutoThreshold: true}
+	gen := workload.NewZipfian(pages, 1)
+	hot := make([]int, 4096)
+	for i := range hot {
+		hot[i] = int(gen.Next())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := sim.Time(i) * sim.Millisecond
+		for _, pg := range hot {
+			h.space.Touch(pg, 1, now)
+		}
+		d.Tick(now, h.space, h.alloc)
+		h.space.DecayHeat(0.5)
 	}
 }

@@ -139,3 +139,52 @@ func TestLateAllocatedPagesSkipPriorEpochs(t *testing.T) {
 		t.Fatalf("old page heat = %g, want 2", got)
 	}
 }
+
+// TestLazyDecayAcrossEpochWrap starts the 32-bit epoch counter three
+// epochs before it wraps and interleaves touches, reads and decay epochs
+// across the wrap, with a factor change exactly at epoch 0. Heat must be
+// bit-identical to the eager sweep: missed-epoch counts are computed
+// modulo 2^32, and the factor change must still flush pending decay.
+func TestLazyDecayAcrossEpochWrap(t *testing.T) {
+	const pages = 64
+	rng := rand.New(rand.NewSource(13))
+
+	s := NewSpace(0)
+	s.heatEpoch = math.MaxUint32 - 2
+	s.Pages = make([]Page, pages)
+	for i := range s.Pages {
+		s.Pages[i].decayedAt = s.heatEpoch
+	}
+	ref := &eagerSpace{heat: make([]float64, pages)}
+	for i := 0; i < pages; i++ {
+		w := float64(1 + rng.Intn(100))
+		s.Touch(i, w, 0)
+		ref.touch(i, w)
+	}
+
+	factors := []float64{0.5, 0.5, 0.5, 0.75, 0.75, 0.5, 0.5, 0.5}
+	for e, f := range factors {
+		// Touch and read a few pages; the rest skip epochs, the first
+		// half of the space skipping every one until the final compare.
+		for j := 0; j < 8; j++ {
+			pg := pages/2 + rng.Intn(pages/2)
+			w := rng.Float64() * 10
+			s.Touch(pg, w, 0)
+			ref.touch(pg, w)
+			pg = pages/2 + rng.Intn(pages/2)
+			if got, want := s.Heat(pg), ref.heat[pg]; got != want {
+				t.Fatalf("epoch %d page %d: lazy heat %x, eager heat %x", e, pg, got, want)
+			}
+		}
+		s.DecayHeat(f)
+		ref.decay(f)
+	}
+	if s.heatEpoch != uint32(len(factors)-3) {
+		t.Fatalf("epoch counter %d, want it wrapped to %d", s.heatEpoch, len(factors)-3)
+	}
+	for i := 0; i < pages; i++ {
+		if got, want := s.Heat(i), ref.heat[i]; got != want {
+			t.Fatalf("page %d: lazy heat %x, eager heat %x — expected bit-identical", i, got, want)
+		}
+	}
+}

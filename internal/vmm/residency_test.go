@@ -15,7 +15,7 @@ import (
 func scanCounts(s *Space, nodes int) []int {
 	out := make([]int, nodes)
 	for i := range s.Pages {
-		out[s.Pages[i].Node.ID]++
+		out[s.NodeID(i)]++
 	}
 	return out
 }
@@ -47,7 +47,7 @@ func scanNodeShare(s *Space) map[*topology.Node]float64 {
 	}
 	mass := map[*topology.Node]float64{}
 	for i := range s.Pages {
-		mass[s.Pages[i].Node]++
+		mass[s.Node(i)]++
 	}
 	inv := 1 / float64(len(s.Pages))
 	for n, m := range mass {
@@ -59,7 +59,7 @@ func scanNodeShare(s *Space) map[*topology.Node]float64 {
 func pageNodes(s *Space) []*topology.Node {
 	out := make([]*topology.Node, len(s.Pages))
 	for i := range s.Pages {
-		out[i] = s.Pages[i].Node
+		out[i] = s.Node(i)
 	}
 	return out
 }

@@ -30,18 +30,22 @@ var ErrNoCapacity = errors.New("vmm: no capacity on target nodes")
 // That makes Space.DecayHeat O(1) instead of O(pages) — the per-epoch
 // full-array sweep was the dominant tiering-epoch cost at production
 // working-set sizes.
+//
+// The record is 24 bytes and holds no pointers, so the garbage collector
+// never scans a page table (262,144 records per 512 GB space). The page's
+// node is stored as its ID; Space.Node resolves it.
 type Page struct {
-	Node       *topology.Node // only Allocator.Migrate moves a page (see Space)
-	LastAccess sim.Time       // time of most recent touch
+	LastAccess sim.Time // time of most recent touch
 
 	heat      float64 // decayed access counter, valid as of decayedAt
-	decayedAt uint64  // decay epochs applied to heat so far
+	decayedAt uint32  // decay epoch heat is valid as of (wraps; see syncHeat)
+	node      int32   // node ID; only Allocator.Migrate moves a page (see Space)
 }
 
 // Space is one application address space: a flat array of pages.
 //
 // Allocator.Alloc, Allocator.Migrate and Allocator.FreeSpace are the only
-// code that changes len(Pages) or a page's Node, and they keep the
+// code that changes len(Pages) or a page's node, and they keep the
 // space's per-node page counts equal to a full scan of Pages. Readers
 // that need the set of nodes a space lives on (EachNode, NodeShare) use
 // those counts in O(nodes) instead of scanning every page.
@@ -49,14 +53,15 @@ type Space struct {
 	PageSize uint64
 	Pages    []Page
 
-	// resident holds the page count per node, indexed by node ID.
+	// resident holds the page count per node, indexed by node ID. An
+	// entry keeps its node once set, so it also resolves page node IDs.
 	resident []residency
 
-	// heatEpoch counts DecayHeat calls; decayFactor is the factor shared
-	// by all epochs a page may still have pending (DecayHeat materializes
-	// outstanding decay eagerly on the rare occasion the factor changes,
-	// so a single factor always suffices).
-	heatEpoch   uint64
+	// heatEpoch counts DecayHeat calls modulo 2^32; decayFactor is the
+	// factor shared by all epochs a page may still have pending
+	// (DecayHeat materializes outstanding decay eagerly on the rare
+	// occasion the factor changes, so a single factor always suffices).
+	heatEpoch   uint32
 	decayFactor float64
 
 	// heatScratch accumulates heat mass per node (indexed by node ID)
@@ -81,6 +86,17 @@ func (s *Space) addPages(n *topology.Node, k int) {
 	r.node = n
 	r.pages += k
 }
+
+// NodeID reports the ID of the node holding a page.
+func (s *Space) NodeID(page int) int { return int(s.Pages[page].node) }
+
+// Node reports the node holding a page.
+func (s *Space) Node(page int) *topology.Node { return s.resident[s.Pages[page].node].node }
+
+// NodeRange reports one more than the highest node ID the space has ever
+// placed a page on: every page's NodeID is below it, so a slice of that
+// length indexed by node ID covers the whole space.
+func (s *Space) NodeRange() int { return len(s.resident) }
 
 // EachNode calls fn for every node holding pages of the space, in node-ID
 // order, with its page count. It costs O(nodes), not O(pages).
@@ -135,7 +151,9 @@ func (s *Space) Heat(page int) float64 {
 
 // syncHeat applies the decay epochs p has missed. The factor is applied
 // by repeated multiplication — not math.Pow — so the result is
-// bit-identical to the eager per-epoch sweep it replaces.
+// bit-identical to the eager per-epoch sweep it replaces. Epoch stamps
+// are 32-bit and the subtraction wraps, so the count of missed epochs
+// stays exact across the wrap as long as no page misses 2^32 of them.
 func (s *Space) syncHeat(p *Page) {
 	d := s.heatEpoch - p.decayedAt
 	if d == 0 {
@@ -160,12 +178,14 @@ func (s *Space) syncHeat(p *Page) {
 // apply factor^Δepochs when next read through Touch/Heat. Calling with a
 // different factor than the previous epoch first materializes all
 // outstanding decay (an O(pages) sweep), so mixed-factor schedules stay
-// exact; steady epoch loops use one factor and never sweep.
+// exact; steady epoch loops use one factor and never sweep. A change
+// before the first epoch sweeps too, finding nothing pending: the epoch
+// counter wraps, so zero does not mean that no epoch has passed.
 func (s *Space) DecayHeat(factor float64) {
 	if factor < 0 || factor > 1 {
 		panic("vmm: decay factor outside [0,1]")
 	}
-	if factor != s.decayFactor && s.heatEpoch > 0 {
+	if factor != s.decayFactor {
 		s.FlushHeat()
 	}
 	s.decayFactor = factor
@@ -208,7 +228,7 @@ func (s *Space) HeatShare() map[*topology.Node]float64 {
 	for i := range s.Pages {
 		p := &s.Pages[i]
 		s.syncHeat(p)
-		mass[p.Node.ID] += p.heat
+		mass[p.node] += p.heat
 	}
 	total := 0.0
 	s.EachNode(func(n *topology.Node, _ int) { total += mass[n.ID] })
@@ -260,7 +280,7 @@ func (a *Allocator) Alloc(s *Space, size uint64, pol Policy) error {
 		s.addPages(n, 1)
 		// New pages are born current: decay epochs before allocation do
 		// not apply to them.
-		s.Pages = append(s.Pages, Page{Node: n, decayedAt: s.heatEpoch})
+		s.Pages = append(s.Pages, Page{decayedAt: s.heatEpoch, node: int32(n.ID)})
 	}
 	return nil
 }
@@ -286,17 +306,18 @@ func (a *Allocator) release(n *topology.Node, bytes uint64) {
 // capacity accounting. Returns ErrNoCapacity when dst is full.
 func (a *Allocator) Migrate(s *Space, page int, dst *topology.Node) error {
 	p := &s.Pages[page]
-	if p.Node == dst {
+	if int(p.node) == dst.ID {
 		return nil
 	}
 	if a.Free(dst) < uint64(s.PageSize) {
 		return ErrNoCapacity
 	}
-	a.release(p.Node, s.PageSize)
+	src := s.resident[p.node].node
+	a.release(src, s.PageSize)
 	a.used[dst.ID] += s.PageSize
-	s.addPages(p.Node, -1)
+	s.addPages(src, -1)
 	s.addPages(dst, 1)
-	p.Node = dst
+	p.node = int32(dst.ID)
 	return nil
 }
 

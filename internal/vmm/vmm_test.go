@@ -3,8 +3,10 @@ package vmm
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"cxlsim/internal/topology"
 )
@@ -23,7 +25,7 @@ func TestAllocBindFillsInOrder(t *testing.T) {
 		t.Fatalf("pages = %d, want 10", len(s.Pages))
 	}
 	for i := range s.Pages {
-		if s.Pages[i].Node != dram {
+		if s.Node(i) != dram {
 			t.Fatal("bind page landed off-node")
 		}
 	}
@@ -82,7 +84,7 @@ func TestPreferredOverflows(t *testing.T) {
 	}
 	onDram, onCXL := 0, 0
 	for i := range s.Pages {
-		switch s.Pages[i].Node {
+		switch s.Node(i) {
 		case dram:
 			onDram++
 		case cxl:
@@ -176,7 +178,7 @@ func TestMigrate(t *testing.T) {
 	if err := a.Migrate(s, 0, cxl); err != nil {
 		t.Fatal(err)
 	}
-	if s.Pages[0].Node != cxl {
+	if s.Node(0) != cxl {
 		t.Fatal("page did not move")
 	}
 	if a.Used(dram) != 0 || a.Used(cxl) != DefaultPageSize {
@@ -254,7 +256,7 @@ func TestHeatShare(t *testing.T) {
 	}
 	// Heat up only DRAM pages.
 	for i := range s.Pages {
-		if s.Pages[i].Node == dram {
+		if s.Node(i) == dram {
 			s.Touch(i, 100, 1)
 		}
 	}
@@ -346,6 +348,23 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPageRecordLayout pins the page record at 24 bytes with no
+// pointers, so a 512 GB space's 262,144 records cost 6 MiB and the
+// garbage collector never scans them.
+func TestPageRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Page{}); got != 24 {
+		t.Fatalf("Page is %d bytes, want 24", got)
+	}
+	typ := reflect.TypeOf(Page{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int32, reflect.Uint32, reflect.Float64:
+		default:
+			t.Fatalf("Page.%s is a %s; the record must hold only fixed-size numbers", f.Name, f.Type)
+		}
 	}
 }
 
