@@ -31,15 +31,16 @@ func buildCxlycsb(t *testing.T) string {
 	return bin
 }
 
-// runTraced runs cxlycsb with args plus -trace and -metrics files and
-// returns the command line, the sha256 of both files and stdout as one
-// text. Traces run to megabytes, so only their digests are kept.
-func runTraced(t *testing.T, bin string, args ...string) string {
+// runLocked runs cxlycsb with args in a fresh temporary directory and
+// returns the command line, the sha256 of each named output file and
+// stdout as one text. Output paths in args are relative, so they land in
+// that directory and the command line is the same on every run. Traces
+// and dumps run to megabytes, so only their digests are kept.
+func runLocked(t *testing.T, bin string, args []string, files ...string) string {
 	t.Helper()
 	dir := t.TempDir()
-	files := []string{"trace.json", "metrics.prom"}
-	cmd := exec.Command(bin, slices.Concat(args,
-		[]string{"-trace", filepath.Join(dir, files[0]), "-metrics", filepath.Join(dir, files[1])})...)
+	cmd := exec.Command(bin, args...)
+	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -47,7 +48,7 @@ func runTraced(t *testing.T, bin string, args ...string) string {
 		t.Fatalf("cxlycsb %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "$ cxlycsb %s -trace %s -metrics %s\n", strings.Join(args, " "), files[0], files[1])
+	fmt.Fprintf(&b, "$ cxlycsb %s\n", strings.Join(args, " "))
 	for _, name := range files {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -59,23 +60,40 @@ func runTraced(t *testing.T, bin string, args ...string) string {
 	return b.String()
 }
 
+// runTraced runs cxlycsb with args plus -trace and -metrics files, as
+// runLocked does.
+func runTraced(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	return runLocked(t, bin, slices.Concat(args, []string{"-trace", "trace.json", "-metrics", "metrics.prom"}),
+		"trace.json", "metrics.prom")
+}
+
 // clusterArgs is the sharded multi-node run both tests below use.
 var clusterArgs = []string{"-config", "1:1", "-workload", "B", "-ops", "20000", "-nodes", "4"}
 
-// TestGolden locks cxlycsb's stdout, trace and metrics against outputs
-// recorded in testdata/, for a single-node tiering run and a sharded
-// cluster run.
+// TestGolden locks cxlycsb's outputs against those recorded in
+// testdata/: stdout, trace and metrics for a single-node tiering run and
+// a sharded cluster run, and stdout and the windowed dump for a run with
+// a durable spill tier. That run's metrics file is not locked: it
+// carries the wall-clock spill recovery time, which the windowed dump
+// leaves out.
 func TestGolden(t *testing.T) {
 	bin := buildCxlycsb(t)
 	for _, tc := range []struct {
 		name string
-		args []string
+		run  func(t *testing.T) string
 	}{
-		{"hotpromote-a", []string{"-config", "Hot-Promote", "-workload", "A", "-ops", "8000"}},
-		{"cluster-b", clusterArgs},
+		{"hotpromote-a", func(t *testing.T) string {
+			return runTraced(t, bin, "-config", "Hot-Promote", "-workload", "A", "-ops", "8000")
+		}},
+		{"cluster-b", func(t *testing.T) string { return runTraced(t, bin, clusterArgs...) }},
+		{"spill-dump", func(t *testing.T) string {
+			return runLocked(t, bin, []string{"-config", "MMEM-SSD-0.2", "-ops", "4000",
+				"-spill-dir", "spill", "-dump", "dump"}, "dump-healthy.json")
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checkGolden(t, filepath.Join("testdata", tc.name+".golden"), runTraced(t, bin, tc.args...))
+			checkGolden(t, filepath.Join("testdata", tc.name+".golden"), tc.run(t))
 		})
 	}
 }

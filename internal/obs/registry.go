@@ -246,8 +246,9 @@ type family struct {
 	newHist    func() *stats.Histogram // histogram families only
 	reg        *Registry               // owning registry, for self-metrics
 
-	mu       sync.Mutex
-	children map[string]*child
+	mu        sync.Mutex
+	children  map[string]*child
+	wallClock bool // measures the host, not the simulation: kept out of Windows
 }
 
 func (f *family) get(values []string) *child {
@@ -366,6 +367,18 @@ func (v *CounterVec) With(values ...string) *Counter { return v.f.get(values).ct
 // Gauge returns the unlabeled gauge with the given name.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.family(name, help, KindGauge, nil, nil).get(nil).gauge
+}
+
+// WallClockGauge returns the unlabeled gauge with the given name and
+// marks it as a wall-clock measurement of the host. It is exposed like
+// any gauge (Prometheus text, JSON snapshots), but Windows leaves it out
+// of every window, so windowed dumps stay byte-identical across runs.
+func (r *Registry) WallClockGauge(name, help string) *Gauge {
+	f := r.family(name, help, KindGauge, nil, nil)
+	f.mu.Lock()
+	f.wallClock = true
+	f.mu.Unlock()
+	return f.get(nil).gauge
 }
 
 // GaugeVec is a labeled gauge family.

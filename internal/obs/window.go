@@ -220,7 +220,11 @@ func (w *Windows) collect(ws *WindowSnapshot) {
 		for _, c := range f.children {
 			kids = append(kids, c)
 		}
+		wallClock := f.wallClock
 		f.mu.Unlock()
+		if wallClock {
+			continue
+		}
 		sort.Slice(kids, func(i, j int) bool {
 			return strings.Join(kids[i].values, labelSep) < strings.Join(kids[j].values, labelSep)
 		})

@@ -151,6 +151,28 @@ func TestWindowsGaugeSampledEachSeal(t *testing.T) {
 	}
 }
 
+// TestWindowsSkipWallClockGauges: a wall-clock gauge stays in the
+// Prometheus exposition but never enters a window, so windowed dumps do
+// not depend on how fast the host ran.
+func TestWindowsSkipWallClockGauges(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("depth", "queue depth").Set(7)
+	r.WallClockGauge("recovery_ns", "wall-clock recovery time").Set(123456)
+	w := NewWindows(r, 10)
+	w.Flush(10)
+	snap := w.Snapshot()
+	if len(snap) != 1 || len(snap[0].Gauges) != 1 || snap[0].Gauges[0].Name != "depth" {
+		t.Fatalf("window gauges = %+v, want only depth", snap[0].Gauges)
+	}
+	var prom strings.Builder
+	if err := WriteProm(&prom, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), "recovery_ns 123456") {
+		t.Fatalf("Prometheus text lost the wall-clock gauge:\n%s", prom.String())
+	}
+}
+
 func TestWindowsHistogramIntervalQuantiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_ns", "latency", latHist())

@@ -488,7 +488,7 @@ func (d *Dir) Instrument(reg *obs.Registry) {
 			Add(float64(rep.QuarantinedRecords))
 		reg.Counter(obs.MetricSpillRecoveryTornBytes, "torn tail bytes truncated during spill recovery").
 			Add(float64(rep.TornBytesTruncated))
-		reg.Gauge(obs.MetricSpillRecoveryNs, "wall-clock duration of the last spill recovery, ns").
+		reg.WallClockGauge(obs.MetricSpillRecoveryNs, "wall-clock duration of the last spill recovery, ns").
 			Set(float64(rep.DurationNs))
 	}
 }
