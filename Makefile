@@ -2,7 +2,7 @@ GO ?= go
 BENCH_DATE := $(shell date +%Y%m%d)
 BENCH_OUT ?= BENCH_$(BENCH_DATE).txt
 
-.PHONY: all build vet test race race-fault race-shard check bench bench-build bench-compare bench-baseline bench-compare-smoke report-smoke golden crash-matrix fuzz-smoke resp-smoke
+.PHONY: all fmt build vet test race race-fault race-shard check bench bench-build bench-compare bench-baseline bench-compare-smoke report-smoke golden crash-matrix fuzz-smoke resp-smoke
 
 all: build
 
@@ -11,6 +11,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file is not gofmt-clean, and lists those files.
+fmt:
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "not gofmt-clean:"; echo "$$unformatted"; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -33,13 +37,13 @@ race-shard:
 	$(GO) test -race -run 'TestSharded|TestClusterByteIdentical|TestFleetByteIdentical' \
 		./internal/sim ./internal/kvstore ./internal/llm
 
-# check is the gate: vet, build, the reliability-path and sharded-kernel
+# check is the gate: gofmt, vet, build, the reliability-path and sharded-kernel
 # race subsets (fail fast), the full test suite under the race detector,
 # a build-only smoke of the benchmarks (compiles every benchmark without
 # running it, so bit-rot in bench code fails the gate cheaply), a smoke
 # of the bench-compare tooling (parses the committed baseline without
 # running any benchmark), and the report determinism smoke.
-check: vet build race-fault race-shard race bench-build bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
+check: fmt vet build race-fault race-shard race bench-build bench-compare-smoke report-smoke crash-matrix fuzz-smoke resp-smoke
 
 # resp-smoke is the end-to-end serving gate: it builds the real cxlserve
 # binary, starts it with the RESP front end and durable spill tier on
